@@ -6,7 +6,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use smart_rnic::{Cqe, CqeError, OneSidedOp, RemoteAddr, WorkRequest};
+use smart_rnic::{BladeId, Cqe, CqeError, OneSidedOp, RemoteAddr, WorkRequest};
 use smart_rt::detmap::DetMap;
 use smart_rt::SimTime;
 use smart_trace::{Actor, Args, Category};
@@ -241,7 +241,12 @@ impl SmartCoro {
             self.holds_slot.set(true);
         }
         let ids = self.ship(wrs).await;
-        self.unsynced.borrow_mut().extend(ids);
+        let mut unsynced = self.unsynced.borrow_mut();
+        if unsynced.is_empty() {
+            *unsynced = ids;
+        } else {
+            unsynced.extend(ids);
+        }
     }
 
     /// Posts `wrs` through the credit path, returning their ids in posted
@@ -249,47 +254,63 @@ impl SmartCoro {
     /// consume fresh credits like any other post, which is what keeps the
     /// throttle's conservation invariant intact under injected errors.
     async fn ship(&self, wrs: Vec<WorkRequest>) -> Vec<u64> {
-        let cfg = self.thread.context().config().clone();
         let mut shipped = Vec::with_capacity(wrs.len());
+        let Some(first) = wrs.first().map(|wr| wr.op.target()) else {
+            return shipped;
+        };
+        if wrs.iter().all(|wr| wr.op.target() == first) {
+            // One target blade, the common case: nothing to partition.
+            self.ship_to(first, wrs, &mut shipped).await;
+            return shipped;
+        }
         // Partition by target blade, preserving per-blade order.
         let mut groups: BTreeMap<u32, Vec<WorkRequest>> = BTreeMap::new();
         for wr in wrs {
             groups.entry(wr.op.target().0).or_default().push(wr);
         }
         for (blade, group) in groups {
-            let qp = Rc::clone(self.thread.qp_to(smart_rnic::BladeId(blade)));
-            let mut rest = group;
-            while !rest.is_empty() {
-                let want = rest.len().min(self.thread.throttle.chunk_limit());
-                let take = self
-                    .thread
-                    .throttle
-                    .acquire_chunk_as(want, self.thread.handle(), self.actor)
-                    .await;
-                let chunk: Vec<WorkRequest> = rest.drain(..take).collect();
-                self.thread.stats().rdma_posted.add(chunk.len() as u64);
-                self.thread
-                    .cpu
-                    .use_for(cfg.cpu_build_wr * chunk.len() as u32 + cfg.cpu_post_overhead)
-                    .await;
-                let ids: Vec<u64> = chunk.iter().map(|w| w.wr_id).collect();
-                {
-                    let mut in_flight = self.in_flight.borrow_mut();
-                    for wr in &chunk {
-                        in_flight.insert(wr.wr_id, wr.clone());
-                    }
-                }
-                // The QP-lock/doorbell serialization below delays this
-                // coroutine directly; it is NOT additionally charged to
-                // the thread CPU — coroutines of one thread never truly
-                // spin against each other (they share the OS thread), and
-                // charging inter-thread lock waits twice would compound
-                // the contention model quadratically.
-                qp.post_send_as(chunk, self.actor).await;
-                shipped.extend(ids);
-            }
+            self.ship_to(BladeId(blade), group, &mut shipped).await;
         }
         shipped
+    }
+
+    /// Posts `wrs`, which all target `blade`, in credit-sized chunks,
+    /// appending their ids to `shipped`.
+    async fn ship_to(&self, blade: BladeId, mut rest: Vec<WorkRequest>, shipped: &mut Vec<u64>) {
+        let cfg = self.thread.context().config();
+        let qp = Rc::clone(self.thread.qp_to(blade));
+        while !rest.is_empty() {
+            let want = rest.len().min(self.thread.throttle.chunk_limit());
+            let take = self
+                .thread
+                .throttle
+                .acquire_chunk_as(want, self.thread.handle(), self.actor)
+                .await;
+            let chunk: Vec<WorkRequest> = if take == rest.len() {
+                std::mem::take(&mut rest)
+            } else {
+                rest.drain(..take).collect()
+            };
+            self.thread.stats().rdma_posted.add(chunk.len() as u64);
+            self.thread
+                .cpu
+                .use_for(cfg.cpu_build_wr * chunk.len() as u32 + cfg.cpu_post_overhead)
+                .await;
+            {
+                let mut in_flight = self.in_flight.borrow_mut();
+                for wr in &chunk {
+                    in_flight.insert(wr.wr_id, wr.clone());
+                }
+            }
+            shipped.extend(chunk.iter().map(|wr| wr.wr_id));
+            // The QP-lock/doorbell serialization below delays this
+            // coroutine directly; it is NOT additionally charged to
+            // the thread CPU — coroutines of one thread never truly
+            // spin against each other (they share the OS thread), and
+            // charging inter-thread lock waits twice would compound
+            // the contention model quadratically.
+            qp.post_send_as(chunk, self.actor).await;
+        }
     }
 
     /// Waits for every work request this coroutine has posted (and not
@@ -344,15 +365,17 @@ impl SmartCoro {
             return Ok(Vec::new());
         }
         let thread = &self.thread;
-        let cfg = thread.context().config().clone();
+        let cfg = thread.context().config();
         let handle = thread.handle().clone();
         let start = handle.now();
         let mut done: DetMap<Cqe> = DetMap::new();
         let mut fault_since: DetMap<SimTime> = DetMap::new();
-        let mut wait: Vec<u64> = ids.to_vec();
+        // Ids reposted by the last recovery round; empty on the first.
+        let mut reposted: Vec<u64> = Vec::new();
         let mut rounds: u32 = 0;
         loop {
-            let cqes = thread.hub.claim(&wait).await;
+            let wait: &[u64] = if rounds == 0 { ids } else { &reposted };
+            let cqes = thread.hub.claim(wait).await;
             // Per-thread hubs replenish credits in the polling coroutine
             // (Algorithm 1); shared hubs cannot know the owner, so the
             // claimer replenishes its own credits here. Error completions
@@ -362,6 +385,15 @@ impl SmartCoro {
                 thread.throttle.replenish(wait.len() as u64);
             }
             thread.stats().rdma_completed.add(wait.len() as u64);
+            if rounds == 0 && cqes.iter().all(|cqe| !cqe.is_error()) {
+                // The common case: a first-round claim comes back clean
+                // and already in the order of `ids`.
+                let mut in_flight = self.in_flight.borrow_mut();
+                for cqe in &cqes {
+                    in_flight.remove(&cqe.wr_id);
+                }
+                return Ok(cqes);
+            }
             let mut failed: Vec<(u64, CqeError)> = Vec::new();
             for cqe in cqes {
                 match cqe.error() {
@@ -478,14 +510,14 @@ impl SmartCoro {
                     );
                 });
             }
-            wait = self.ship(retry_wrs).await;
+            reposted = self.ship(retry_wrs).await;
         }
     }
 
     /// READ + `post_send` + `sync`, returning the data.
     pub async fn read_sync(&self, addr: RemoteAddr, len: u32) -> Vec<u8> {
         let id = self.read(addr, len);
-        self.roundtrip(id).await.read_data().to_vec()
+        self.roundtrip(id).await.into_read_data()
     }
 
     /// WRITE + `post_send` + `sync`.
@@ -524,7 +556,7 @@ impl SmartCoro {
     /// [`FaultError`] instead of panicking.
     pub async fn try_read_sync(&self, addr: RemoteAddr, len: u32) -> Result<Vec<u8>, FaultError> {
         let id = self.read(addr, len);
-        Ok(self.try_roundtrip(id).await?.read_data().to_vec())
+        Ok(self.try_roundtrip(id).await?.into_read_data())
     }
 
     /// Fallible [`Self::write_sync`].

@@ -125,6 +125,9 @@ pub const SHARED_MUT_METHODS: &[&str] = &["set", "borrow_mut", "probe_cell"];
 /// matched separately in the flow walk).
 pub const ALLOC_METHODS: &[&str] = &["to_string", "to_vec", "with_capacity"];
 
+/// Task-spawning method names on the executor handle.
+pub const SPAWN_METHODS: &[&str] = &["spawn", "spawn_detached"];
+
 /// The intrinsic effect a workspace fn *implements* (rather than calls):
 /// the kernel clock/RNG accessors read plain cells, and the RNIC verb
 /// paths are the fabric, so name-based call-site seeding alone would
@@ -138,7 +141,7 @@ pub fn intrinsic_root(krate: &str, name: &str) -> Effects {
         if RNG_METHODS.contains(&name) {
             e = e.join(Effects::RNG);
         }
-        if name == "spawn" {
+        if SPAWN_METHODS.contains(&name) {
             e = e.join(Effects::SPAWN);
         }
     }

@@ -49,7 +49,8 @@ pub const SIM_CRATES: &[&str] = &[
 /// Files on the simulator's per-event hot path: the executor's ready
 /// loop and timer wheel (touched once per poll / timer fire) and the
 /// RNIC's per-WR dispatch (QP completion and doorbell paths, touched
-/// once per work request). A stray `format!` in any of these taxes every
+/// once per work request), plus the completion hub that hands every
+/// completion to its claiming coroutine. A stray `format!` in any of these taxes every
 /// simulated event of every run — see [`hot_path_alloc`]. Unlike
 /// [`SIM_CRATES`], this list names individual files: the rest of those
 /// crates may allocate freely.
@@ -58,6 +59,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/rt/src/wheel.rs",
     "crates/rnic/src/qp.rs",
     "crates/rnic/src/doorbell.rs",
+    "crates/core/src/hub.rs",
 ];
 
 /// The PDES engine files: the one place inside the simulation stack that

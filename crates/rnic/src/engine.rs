@@ -223,7 +223,7 @@ pub fn spawn_blade_engine(
             let cfg = cfg.clone();
             let tx = Rc::clone(&tx);
             let h2 = h.clone();
-            h.spawn(async move {
+            h.spawn_detached(async move {
                 let result = serve_one(&h2, &blade, &cfg, header, &req).await;
                 tx.send(BladeReply {
                     slot: req.slot,

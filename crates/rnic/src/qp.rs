@@ -65,6 +65,14 @@ impl Cq {
         entries.drain(..n).collect()
     }
 
+    /// Like [`Self::poll`], appending the drained completions to `out`
+    /// so a polling loop can reuse one buffer.
+    pub fn poll_into(&self, max: usize, out: &mut Vec<Cqe>) {
+        let mut entries = self.entries.borrow_mut();
+        let n = entries.len().min(max);
+        out.extend(entries.drain(..n));
+    }
+
     /// Number of undrained completions.
     pub fn len(&self) -> usize {
         self.entries.borrow().len()
@@ -266,7 +274,6 @@ impl Qp {
             );
         }
         let node = self.ctx.node();
-        let cfg = &node.cfg;
         let n = wrs.len() as u32;
         if let Some(plan) = node.domain_plan.borrow().as_ref() {
             if plan.crossing(node.id(), self.target.id()) {
@@ -280,13 +287,12 @@ impl Qp {
         node.handle
             .probe_sync(actor, "qp_sq", SyncOp::Write, self.probe);
 
-        let _ = cfg;
         self.lock_for_post(n, actor).await;
         self.doorbell.ring_as(actor).await;
 
         for wr in wrs {
             let qp = Rc::clone(self);
-            node.handle.spawn(verbs::lifecycle(qp, wr, actor));
+            node.handle.spawn_detached(verbs::lifecycle(qp, wr, actor));
         }
     }
 }

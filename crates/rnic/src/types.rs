@@ -256,6 +256,18 @@ impl Cqe {
         }
     }
 
+    /// The READ payload, moved out of the completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this completion is not for a READ.
+    pub fn into_read_data(self) -> Vec<u8> {
+        match self.result {
+            OpResult::Read(d) => d,
+            other => panic!("completion is not a READ: {other:?}"),
+        }
+    }
+
     /// The old value returned by a CAS or FAA.
     ///
     /// # Panics

@@ -228,6 +228,16 @@ impl SimHandle {
         JoinHandle::new(state)
     }
 
+    /// Spawns a fire-and-forget task: like [`Self::spawn`] without the
+    /// join state, which saves an allocation per task on paths that
+    /// never await the result (one RNIC lifecycle task per work request).
+    pub fn spawn_detached<F>(&self, future: F)
+    where
+        F: Future<Output = ()> + 'static,
+    {
+        self.spawn_raw(Box::pin(future));
+    }
+
     fn spawn_raw(&self, future: Pin<Box<dyn Future<Output = ()>>>) {
         let mut tasks = self.inner.tasks.borrow_mut();
         let idx = match self.inner.free.borrow_mut().pop() {

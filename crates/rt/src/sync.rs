@@ -84,9 +84,15 @@ impl Notify {
 
     /// Wakes every current waiter (stores no permit).
     pub fn notify_all(&self) {
-        let waiters: Vec<(u64, Waker)> = self.inner.waiters.borrow_mut().drain(..).collect();
-        for (_, w) in waiters {
+        // Wake outside the borrow, then hand the drained queue back so
+        // its capacity is reused — unless a waker registered anew.
+        let mut waiters = std::mem::take(&mut *self.inner.waiters.borrow_mut());
+        for (_, w) in waiters.drain(..) {
             w.wake();
+        }
+        let mut queue = self.inner.waiters.borrow_mut();
+        if queue.is_empty() {
+            *queue = waiters;
         }
     }
 

@@ -7,22 +7,33 @@
 //!
 //! The counting allocator lives here rather than in the library because
 //! `smart-trace` itself is `#![forbid(unsafe_code)]`; a test binary is
-//! its own crate and may install a `#[global_allocator]`.
+//! its own crate and may install a `#[global_allocator]`. It counts per
+//! thread: the test harness runs tests concurrently, and a process-wide
+//! count would charge one test's allocations to another.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use smart_trace::{Actor, Args, Category, SyncOp, TraceSink};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation: reading the counter never allocates, so
+    // the allocator can touch it without recursing.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no other side effects.
+// thread-local cell with no other side effects.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,10 +50,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread while `f` runs.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
