@@ -1,329 +1,40 @@
-//! OS-thread hosting and domain decomposition for complete benchmark
-//! runs, with optional in-thread tracing.
+//! Domain-decomposed hash-table runner: memory blades as real PDES
+//! engine domains.
 //!
-//! Two ways to put a run on worker threads share this module:
+//! [`run_ht_decomposed`] turns the memory blades into domains of a
+//! [`smart_rt::pdes::PdesBuilder`] run: compute-side verbs cross to them
+//! over [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
+//! channels at fabric one-way latency (the conservative lookahead), and
+//! the warmup → measure → drain schedule becomes a phase-controller
+//! coroutine inside the compute domain. Decomposed timing is
+//! self-consistent but not byte-comparable to the classic single-domain
+//! [`crate::run_ht`] (see [`smart_rnic::engine`]); the determinism gate
+//! is *worker-count invariance for a fixed plan*, asserted by
+//! `tests/scheduler_equiv.rs` at engine workers 1/2/4/8.
 //!
-//! * **Hosted** (`run_*_hosted`) — the degenerate one-domain form of the
-//!   PDES contract, [`smart_rt::pdes::host`]: the whole run executes on a
-//!   dedicated worker thread, and because the run is a pure function of
-//!   its parameters, the hosted result is byte-identical to the inline
-//!   one. The differential matrix in `tests/scheduler_equiv.rs` asserts
-//!   exactly that, at workers 1/2/4, for every pinned bench config
-//!   including full trace JSON.
-//! * **Decomposed** ([`run_ht_decomposed`]) — the memory blades become
-//!   real engine domains of a [`smart_rt::pdes::PdesBuilder`] run:
-//!   compute-side verbs cross to them over
-//!   [`BladeRequest`](smart_rnic::BladeRequest)/[`BladeReply`](smart_rnic::BladeReply)
-//!   channels at fabric one-way latency (the conservative lookahead), and
-//!   the warmup → measure → drain schedule becomes a phase-controller
-//!   coroutine inside the compute domain. Decomposed timing is
-//!   self-consistent but not byte-comparable to the classic shared-graph
-//!   path (see [`smart_rnic::engine`]); the determinism gate is
-//!   *worker-count invariance for a fixed plan*, asserted by
-//!   `tests/scheduler_equiv.rs` at workers 1/2/4/8.
-//!
-//! [`smart_trace::TraceSink`] is not `Send`, so a sink created by the
-//! caller cannot cross into the worker thread. These wrappers therefore
-//! take a `with_trace` flag, create the sink *inside* the hosted job, and
-//! return the rendered Chrome JSON as a plain (`Send`) `String`.
+//! [`smart_trace::TraceSink`] is not `Send`, so the runner takes a
+//! `with_trace` flag, creates the sink inside the compute domain, and
+//! returns the rendered Chrome JSON as a plain `String`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use smart::{run_microbench_metered, MicrobenchReport, MicrobenchSpec, SmartContext};
+use smart::SmartContext;
 use smart_fault::FaultInjector;
 use smart_race::RaceHashTable;
 use smart_rnic::{
     blade_link, spawn_blade_engine, BladeConfig, BladeId, Cluster, ClusterConfig, DomainPlan,
     NodeId, RemotePort,
 };
-use smart_rt::metrics::ExecutorMetrics;
-use smart_rt::pdes::{host, DomainCtx, DomainId, PdesBuilder};
-use smart_serve::{run_serve, ServeReport, ServeSpec};
+use smart_rt::pdes::{DomainCtx, DomainId, PdesBuilder};
 use smart_trace::TraceSink;
 use smart_workloads::ycsb::{YcsbGenerator, YcsbOp};
 
-use crate::runners::{
-    ht_table_config, run_bt_inline, run_dtx_inline, run_ht_inline, tune_for_window, BtParams,
-    DtxParams, FaultProbe, HtParams, Probe, RunReport,
-};
+use crate::runners::{ht_table_config, tune_for_window, FaultProbe, HtParams, Probe, RunReport};
 
-/// Ring capacity for hosted trace sinks, matching the equivalence
+/// Ring capacity for decomposed trace sinks, matching the equivalence
 /// goldens in `tests/scheduler_equiv.rs`.
-pub const HOSTED_TRACE_EVENTS: usize = 1024;
-
-fn sink_for(with_trace: bool) -> Option<TraceSink> {
-    with_trace.then(|| TraceSink::with_capacity(HOSTED_TRACE_EVENTS))
-}
-
-fn export(sink: Option<TraceSink>) -> Option<String> {
-    sink.map(|s| s.chrome_json())
-}
-
-/// Runs [`crate::run_ht`] hosted on `p.workers` simulation workers
-/// (inline when `workers <= 1`), optionally with an in-thread trace sink;
-/// returns the report plus the Chrome JSON export.
-///
-/// # Panics
-///
-/// Panics if `p.trace` is already set — a caller-held sink cannot cross
-/// the thread boundary; use `with_trace` instead.
-pub fn run_ht_hosted(p: &HtParams, with_trace: bool) -> (RunReport, Option<String>) {
-    assert!(
-        p.trace.is_none(),
-        "hosted runs own their trace sink; leave p.trace empty and pass with_trace"
-    );
-    let HtParams {
-        smart,
-        compute_nodes,
-        blades,
-        threads,
-        depth,
-        keys,
-        theta,
-        mix,
-        pace,
-        warmup,
-        measure,
-        seed,
-        trace: _,
-        fault,
-        workers,
-    } = p.clone();
-    host(workers, move || {
-        let sink = sink_for(with_trace);
-        let p = HtParams {
-            smart,
-            compute_nodes,
-            blades,
-            threads,
-            depth,
-            keys,
-            theta,
-            mix,
-            pace,
-            warmup,
-            measure,
-            seed,
-            trace: sink.clone(),
-            fault,
-            workers,
-        };
-        (run_ht_inline(&p), export(sink))
-    })
-}
-
-/// Runs [`crate::run_dtx`] hosted on `p.workers` simulation workers;
-/// see [`run_ht_hosted`].
-///
-/// # Panics
-///
-/// Panics if `p.trace` is already set.
-pub fn run_dtx_hosted(p: &DtxParams, with_trace: bool) -> (RunReport, Option<String>) {
-    assert!(
-        p.trace.is_none(),
-        "hosted runs own their trace sink; leave p.trace empty and pass with_trace"
-    );
-    let DtxParams {
-        smart,
-        threads,
-        depth,
-        workload,
-        rows,
-        pace,
-        warmup,
-        measure,
-        seed,
-        trace: _,
-        fault,
-        workers,
-    } = p.clone();
-    host(workers, move || {
-        let sink = sink_for(with_trace);
-        let p = DtxParams {
-            smart,
-            threads,
-            depth,
-            workload,
-            rows,
-            pace,
-            warmup,
-            measure,
-            seed,
-            trace: sink.clone(),
-            fault,
-            workers,
-        };
-        (run_dtx_inline(&p), export(sink))
-    })
-}
-
-/// Runs [`crate::run_bt`] hosted on `p.workers` simulation workers;
-/// see [`run_ht_hosted`].
-///
-/// # Panics
-///
-/// Panics if `p.trace` is already set.
-pub fn run_bt_hosted(p: &BtParams, with_trace: bool) -> (RunReport, Option<String>) {
-    assert!(
-        p.trace.is_none(),
-        "hosted runs own their trace sink; leave p.trace empty and pass with_trace"
-    );
-    let BtParams {
-        variant,
-        compute_nodes,
-        threads,
-        depth,
-        keys,
-        mix,
-        theta,
-        tree_override,
-        warmup,
-        measure,
-        seed,
-        trace: _,
-        fault,
-        workers,
-    } = p.clone();
-    host(workers, move || {
-        let sink = sink_for(with_trace);
-        let p = BtParams {
-            variant,
-            compute_nodes,
-            threads,
-            depth,
-            keys,
-            mix,
-            theta,
-            tree_override,
-            warmup,
-            measure,
-            seed,
-            trace: sink.clone(),
-            fault,
-            workers,
-        };
-        (run_bt_inline(&p), export(sink))
-    })
-}
-
-/// Runs a microbench spec hosted on `spec.workers` simulation workers,
-/// optionally with an in-thread trace sink; returns the report, executor
-/// metrics and the Chrome JSON export.
-///
-/// # Panics
-///
-/// Panics if `spec.trace` is already set.
-pub fn run_microbench_hosted(
-    spec: &MicrobenchSpec,
-    with_trace: bool,
-) -> (MicrobenchReport, ExecutorMetrics, Option<String>) {
-    assert!(
-        spec.trace.is_none(),
-        "hosted runs own their trace sink; leave spec.trace empty and pass with_trace"
-    );
-    let MicrobenchSpec {
-        smart,
-        threads,
-        depth,
-        op,
-        blades,
-        region_bytes,
-        warmup,
-        measure,
-        seed,
-        dynamic,
-        rnic,
-        trace: _,
-        schedule,
-        workers,
-    } = spec.clone();
-    host(workers, move || {
-        let sink = sink_for(with_trace);
-        let spec = MicrobenchSpec {
-            smart,
-            threads,
-            depth,
-            op,
-            blades,
-            region_bytes,
-            warmup,
-            measure,
-            seed,
-            dynamic,
-            rnic,
-            trace: sink.clone(),
-            schedule,
-            // The run is already hosted here; keep the inner call inline
-            // so it does not re-host (and does not reject the sink).
-            workers: 1,
-        };
-        let (report, metrics) = run_microbench_metered(&spec);
-        (report, metrics, export(sink))
-    })
-}
-
-/// Runs a serve scenario hosted on `spec.workers` simulation workers,
-/// optionally with an in-thread trace sink; returns the report plus the
-/// Chrome JSON export.
-///
-/// # Panics
-///
-/// Panics if `spec.trace` is already set.
-pub fn run_serve_hosted(spec: &ServeSpec, with_trace: bool) -> (ServeReport, Option<String>) {
-    assert!(
-        spec.trace.is_none(),
-        "hosted runs own their trace sink; leave spec.trace empty and pass with_trace"
-    );
-    let ServeSpec {
-        seed,
-        clients,
-        threads,
-        depth,
-        blades,
-        shards,
-        accounts,
-        theta,
-        probe_pct,
-        initial_balance,
-        plan,
-        admission,
-        membership,
-        chaos,
-        trace: _,
-        drain,
-        workers,
-    } = spec.clone();
-    host(workers, move || {
-        let sink = sink_for(with_trace);
-        let spec = ServeSpec {
-            seed,
-            clients,
-            threads,
-            depth,
-            blades,
-            shards,
-            accounts,
-            theta,
-            probe_pct,
-            initial_balance,
-            plan,
-            admission,
-            membership,
-            chaos,
-            trace: sink.clone(),
-            drain,
-            // Already hosted; the inner call must run inline (a sink is
-            // installed, which run_serve would reject when re-hosting).
-            workers: 1,
-        };
-        (run_serve(&spec), export(sink))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Domain-decomposed hash-table runs
-// ---------------------------------------------------------------------------
+const DECOMPOSED_TRACE_EVENTS: usize = 1024;
 
 /// Outcome of a [`run_ht_decomposed`] run: the classic report plus the
 /// engine's partition counters. Everything except `report.sim_events` is
@@ -331,8 +42,7 @@ pub fn run_serve_hosted(spec: &ServeSpec, with_trace: bool) -> (ServeReport, Opt
 #[derive(Clone, Debug)]
 pub struct DecomposedHt {
     /// The benchmark report. `sim_events` sums scheduling events over
-    /// *all* domains (it is excluded from the equivalence fingerprints,
-    /// like the hosted runners' count).
+    /// *all* domains (it is excluded from the equivalence fingerprints).
     pub report: RunReport,
     /// Chrome trace JSON from the compute domain, when requested.
     pub trace: Option<String>,
@@ -347,8 +57,8 @@ pub struct DecomposedHt {
     /// becomes exactly one [`smart_rnic::BladeRequest`].
     pub blade_requests: u64,
     /// Work requests the compute side counted as crossing the partition
-    /// ([`smart_rnic::NodeCounters::cross_domain_wrs`] summed over
-    /// nodes — diagnostics-only, never part of golden-visible output).
+    /// ([`smart_rnic::Cluster::cross_domain_wrs`], summed over nodes —
+    /// diagnostics-only, never part of golden-visible output).
     pub cross_domain_wrs: u64,
     /// Concatenated blade-domain artifacts: per-blade `served`/`epoch`
     /// lines from the authoritative blades.
@@ -377,7 +87,7 @@ type HtWindow = (u64, Vec<u64>, u64);
 ///
 /// The result is byte-identical for every `engine_workers` value — that
 /// is the PDES contract this runner inherits — but *not* byte-comparable
-/// to [`run_ht_inline`]'s shared-graph timing (see
+/// to [`crate::run_ht`]'s shared-graph timing (see
 /// [`smart_rnic::engine`]).
 ///
 /// # Panics
@@ -441,7 +151,7 @@ pub fn run_ht_decomposed(
     let (p0, cfg0, plan0) = (p.clone(), cfg.clone(), plan.clone());
     b.add_local_domain("compute", move |ctx: &DomainCtx| {
         let h = ctx.handle();
-        let sink = sink_for(with_trace);
+        let sink = with_trace.then(|| TraceSink::with_capacity(DECOMPOSED_TRACE_EVENTS));
         if let Some(s) = &sink {
             h.install_tracer(s.clone());
         }
@@ -510,7 +220,7 @@ pub fn run_ht_decomposed(
             }
         }
 
-        // Phase controller: the decomposed stand-in for the inline
+        // Phase controller: the decomposed stand-in for the classic
         // runner's imperative `run_for` schedule. Workers exit at `stop`,
         // the controller coroutines exit at their next wake-up once
         // quiesced, and the engine then runs to quiescence — no explicit
@@ -579,7 +289,11 @@ pub fn run_ht_decomposed(
                 report.faults_recovered
             )
             .into_bytes();
-            *out0.borrow_mut() = Some((report, export(sink), cluster.cross_domain_wrs()));
+            *out0.borrow_mut() = Some((
+                report,
+                sink.map(|s| s.chrome_json()),
+                cluster.cross_domain_wrs(),
+            ));
             artifact
         })
     });
@@ -659,24 +373,9 @@ pub fn run_ht_decomposed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runners::serve_spec;
     use smart::SmartConfig;
     use smart_rt::Duration;
     use smart_workloads::ycsb::Mix;
-
-    #[test]
-    fn hosted_ht_matches_inline_bytes_and_trace() {
-        let mut p = HtParams::new(SmartConfig::smart_full(2), 2, 500, Mix::ReadHeavy);
-        p.warmup = Duration::from_micros(300);
-        p.measure = Duration::from_millis(1);
-        let (seq, seq_trace) = run_ht_hosted(&p, true);
-        p.workers = 4;
-        let (par, par_trace) = run_ht_hosted(&p, true);
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
-        let (seq_trace, par_trace) = (seq_trace.unwrap(), par_trace.unwrap());
-        assert!(seq_trace.len() > 500, "trace export implausibly small");
-        assert_eq!(seq_trace, par_trace);
-    }
 
     #[test]
     fn decomposed_ht_is_worker_invariant_and_counts_envelopes() {
@@ -699,16 +398,5 @@ mod tests {
             seq.cross_domain_wrs, seq.blade_requests,
             "fault-free run: every crossing WR reaches its blade domain"
         );
-    }
-
-    #[test]
-    fn hosted_serve_matches_inline_bytes() {
-        let mut spec = serve_spec(500, 0.02, 11);
-        spec.threads = 2;
-        spec.depth = 4;
-        let (seq, _) = run_serve_hosted(&spec, false);
-        spec.workers = 2;
-        let (par, _) = run_serve_hosted(&spec, false);
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 }

@@ -9,15 +9,12 @@
 //! windows) or `full` (paper-scale). Results print as aligned tables and
 //! are also dumped as CSV under `crates/bench/bench_out/`.
 
-pub mod hosted;
+pub mod decomposed;
 pub mod report;
 pub mod runners;
 pub mod sweep;
 
-pub use hosted::{
-    run_bt_hosted, run_dtx_hosted, run_ht_decomposed, run_ht_hosted, run_microbench_hosted,
-    run_serve_hosted, DecomposedHt,
-};
+pub use decomposed::{run_ht_decomposed, DecomposedHt};
 pub use report::{banner, trace_requested, us, BenchTable, Mode};
 pub use runners::{
     run_bt, run_dtx, run_ht, serve_spec, BtParams, BtVariant, DtxParams, DtxWorkload, HtParams,

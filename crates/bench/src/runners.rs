@@ -9,7 +9,7 @@ use smart::{SmartConfig, SmartContext, SmartThread};
 use smart_fault::{FaultInjector, FaultPlan};
 use smart_ford::{backoff_after_abort, SmallBank, Tatp};
 use smart_race::{RaceConfig, RaceHashTable};
-use smart_rnic::{BladeConfig, Cluster, ClusterConfig, DomainPlan};
+use smart_rnic::{BladeConfig, Cluster, ClusterConfig};
 use smart_rt::metrics::Counter;
 use smart_rt::{Duration, Simulation};
 use smart_serve::{AdmissionConfig, MembershipPlan, RatePlan, ServeSpec};
@@ -198,12 +198,6 @@ pub struct HtParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run). Larger
-    /// values host the run on a dedicated OS thread via
-    /// [`smart_rt::pdes::host`] with a [`DomainPlan::for_workers`]
-    /// partition — byte-identical results either way (the PDES contract,
-    /// gated by `tests/scheduler_equiv.rs`).
-    pub workers: usize,
 }
 
 impl HtParams {
@@ -224,7 +218,6 @@ impl HtParams {
             seed: 42,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
@@ -244,23 +237,14 @@ pub(crate) fn ht_table_config(keys: u64) -> RaceConfig {
     }
 }
 
-/// Runs a hash-table experiment. `p.workers > 1` hosts the run on a
-/// dedicated OS thread (see [`crate::hosted`]); results are
-/// byte-identical to the inline run.
+/// Runs a hash-table experiment.
 pub fn run_ht(p: &HtParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_ht_hosted(p, false).0;
-    }
-    run_ht_inline(p)
-}
-
-pub(crate) fn run_ht_inline(p: &HtParams) -> RunReport {
     let mut sim = Simulation::new(p.seed);
     if let Some(sink) = &p.trace {
         sim.handle().install_tracer(sink.clone());
     }
     let region = 64 * 1024 * 1024 + p.keys * 96;
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: p.compute_nodes,
@@ -271,7 +255,6 @@ pub(crate) fn run_ht_inline(p: &HtParams) -> RunReport {
             },
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, p.compute_nodes as u32, p.blades as u32),
     );
     let chaos = FaultProbe::install(&cluster, &p.fault);
     let table = RaceHashTable::create(cluster.blades(), ht_table_config(p.keys));
@@ -403,9 +386,6 @@ pub struct DtxParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run); see
-    /// [`HtParams::workers`].
-    pub workers: usize,
 }
 
 impl DtxParams {
@@ -423,26 +403,17 @@ impl DtxParams {
             seed: 7,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
 
 /// Runs a transaction experiment (always 2 memory blades, as in §6.2.2).
-/// `p.workers > 1` hosts the run on a dedicated OS thread.
 pub fn run_dtx(p: &DtxParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_dtx_hosted(p, false).0;
-    }
-    run_dtx_inline(p)
-}
-
-pub(crate) fn run_dtx_inline(p: &DtxParams) -> RunReport {
     let mut sim = Simulation::new(p.seed);
     if let Some(sink) = &p.trace {
         sim.handle().install_tracer(sink.clone());
     }
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: 1,
@@ -453,7 +424,6 @@ pub(crate) fn run_dtx_inline(p: &DtxParams) -> RunReport {
             },
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, 1, 2),
     );
     let chaos = FaultProbe::install(&cluster, &p.fault);
     enum App {
@@ -633,9 +603,6 @@ pub struct BtParams {
     /// Optional chaos schedule injected into the run (must eventually
     /// heal; permanent errors would abort the benchmark workers).
     pub fault: Option<FaultPlan>,
-    /// Simulation worker threads (`1` = inline sequential run); see
-    /// [`HtParams::workers`].
-    pub workers: usize,
 }
 
 impl BtParams {
@@ -655,28 +622,19 @@ impl BtParams {
             seed: 13,
             trace: None,
             fault: None,
-            workers: 1,
         }
     }
 }
 
 /// Runs a B+Tree experiment. Blades mirror compute nodes (the paper
-/// co-locates a memory blade with every server). `p.workers > 1` hosts
-/// the run on a dedicated OS thread.
+/// co-locates a memory blade with every server).
 pub fn run_bt(p: &BtParams) -> RunReport {
-    if p.workers > 1 {
-        return crate::hosted::run_bt_hosted(p, false).0;
-    }
-    run_bt_inline(p)
-}
-
-pub(crate) fn run_bt_inline(p: &BtParams) -> RunReport {
     let mut sim = Simulation::new(p.seed);
     if let Some(sink) = &p.trace {
         sim.handle().install_tracer(sink.clone());
     }
     let blades = p.compute_nodes.max(2);
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: p.compute_nodes,
@@ -687,7 +645,6 @@ pub(crate) fn run_bt_inline(p: &BtParams) -> RunReport {
             },
             ..Default::default()
         },
-        DomainPlan::for_workers(p.workers, p.compute_nodes as u32, blades as u32),
     );
     let chaos = FaultProbe::install(&cluster, &p.fault);
     let (mut tree_cfg, smart_cfg) = p.variant.configs(p.threads);

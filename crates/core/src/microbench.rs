@@ -74,13 +74,6 @@ pub struct MicrobenchSpec {
     /// Executor schedule policy: `Fifo` (the default) or a seeded
     /// tie-break perturbation for `smart-check` schedule exploration.
     pub schedule: SchedulePolicy,
-    /// Simulation worker threads. `1` (the default) runs inline; larger
-    /// values host the run on a dedicated OS thread via
-    /// [`smart_rt::pdes::host`] and build the cluster with
-    /// [`smart_rnic::DomainPlan::for_workers`] — results are byte-identical
-    /// either way (that is the PDES determinism contract, enforced by the
-    /// equivalence test matrix).
-    pub workers: usize,
 }
 
 impl MicrobenchSpec {
@@ -101,7 +94,6 @@ impl MicrobenchSpec {
             rnic: RnicConfig::default(),
             trace: None,
             schedule: SchedulePolicy::Fifo,
-            workers: 1,
         }
     }
 }
@@ -149,62 +141,11 @@ pub fn run_microbench(spec: &MicrobenchSpec) -> MicrobenchReport {
 pub fn run_microbench_metered(
     spec: &MicrobenchSpec,
 ) -> (MicrobenchReport, smart_rt::metrics::ExecutorMetrics) {
-    if spec.workers <= 1 {
-        return run_microbench_on_thread(spec);
-    }
-    assert!(
-        spec.trace.is_none(),
-        "a traced run cannot be hosted on a worker thread (TraceSink is \
-         not Send); run with workers = 1 or trace at the harness level"
-    );
-    // Destructure into the Send-safe plain-data fields and rebuild the
-    // spec inside the hosting thread: the spec *type* is !Send only
-    // because of the (empty) trace slot.
-    let MicrobenchSpec {
-        smart,
-        threads,
-        depth,
-        op,
-        blades,
-        region_bytes,
-        warmup,
-        measure,
-        seed,
-        dynamic,
-        rnic,
-        trace: _,
-        schedule,
-        workers,
-    } = spec.clone();
-    smart_rt::pdes::host(workers, move || {
-        let spec = MicrobenchSpec {
-            smart,
-            threads,
-            depth,
-            op,
-            blades,
-            region_bytes,
-            warmup,
-            measure,
-            seed,
-            dynamic,
-            rnic,
-            trace: None,
-            schedule,
-            workers,
-        };
-        run_microbench_on_thread(&spec)
-    })
-}
-
-fn run_microbench_on_thread(
-    spec: &MicrobenchSpec,
-) -> (MicrobenchReport, smart_rt::metrics::ExecutorMetrics) {
     let mut sim = Simulation::with_policy(spec.seed, spec.schedule);
     if let Some(sink) = &spec.trace {
         sim.handle().install_tracer(sink.clone());
     }
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: 1,
@@ -216,7 +157,6 @@ fn run_microbench_on_thread(
             rnic: spec.rnic.clone(),
             ..Default::default()
         },
-        smart_rnic::DomainPlan::for_workers(spec.workers, 1, spec.blades as u32),
     );
     // Reserve the whole region so random offsets land in valid memory.
     for blade in cluster.blades() {
@@ -354,21 +294,6 @@ mod tests {
             one.mops,
             sixteen.mops
         );
-    }
-
-    #[test]
-    fn hosted_run_is_byte_identical_to_inline() {
-        let mut spec = MicrobenchSpec::new(
-            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 4),
-            4,
-            8,
-        );
-        quick(&mut spec);
-        spec.blades = 2;
-        let inline_run = format!("{:?}", run_microbench_metered(&spec));
-        spec.workers = 4;
-        let hosted_run = format!("{:?}", run_microbench_metered(&spec));
-        assert_eq!(inline_run, hosted_run);
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub const DECOMPOSED_TRACE_EVENTS: usize = 1024;
 #[derive(Clone, Debug)]
 pub struct DecomposedServe {
     /// The serve report. `sim_events` sums scheduling events over *all*
-    /// domains (excluded from equivalence fingerprints, like the hosted
-    /// runners' count).
+    /// domains.
     pub report: ServeReport,
     /// Chrome trace JSON from the serve domain, when requested.
     pub trace: Option<String>,
@@ -77,9 +76,7 @@ pub struct DecomposedServe {
 }
 
 /// Runs a serve scenario decomposed over `plan`, executable by up to
-/// `engine_workers` OS threads. `spec.workers` is ignored — the
-/// partition comes from `plan`, and the engine worker count from
-/// `engine_workers`.
+/// `engine_workers` OS threads.
 ///
 /// The result is byte-identical for every `engine_workers` value — the
 /// PDES determinism contract — but *not* byte-comparable to

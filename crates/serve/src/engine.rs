@@ -74,12 +74,6 @@ pub struct ServeSpec {
     pub trace: Option<TraceSink>,
     /// Virtual-time budget for draining after the plan ends.
     pub drain: Duration,
-    /// Simulation worker threads (`1` = inline sequential run). Larger
-    /// values host the run on a dedicated OS thread via
-    /// [`smart_rt::pdes::host`] with a
-    /// [`smart_rnic::DomainPlan::for_workers`] partition — the report is
-    /// byte-identical either way (the PDES determinism contract).
-    pub workers: usize,
 }
 
 impl ServeSpec {
@@ -103,7 +97,6 @@ impl ServeSpec {
             chaos: FaultPlan::new(),
             trace: None,
             drain: Duration::from_millis(50),
-            workers: 1,
         }
     }
 }
@@ -244,72 +237,14 @@ pub(crate) async fn execute(
 }
 
 /// Runs the scenario to completion and returns its deterministic report.
-/// `spec.workers > 1` hosts the run on a dedicated OS thread; the report
-/// is byte-identical to the inline run.
 pub fn run_serve(spec: &ServeSpec) -> ServeReport {
-    if spec.workers <= 1 {
-        return run_serve_inline(spec);
-    }
-    assert!(
-        spec.trace.is_none(),
-        "a traced serve run cannot be hosted on a worker thread \
-         (TraceSink is not Send); run with workers = 1 or trace at the \
-         harness level"
-    );
-    // Destructure into the Send-safe plain-data fields and rebuild the
-    // spec inside the hosting thread: the spec *type* is !Send only
-    // because of the (empty) trace slot.
-    let ServeSpec {
-        seed,
-        clients,
-        threads,
-        depth,
-        blades,
-        shards,
-        accounts,
-        theta,
-        probe_pct,
-        initial_balance,
-        plan,
-        admission,
-        membership,
-        chaos,
-        trace: _,
-        drain,
-        workers,
-    } = spec.clone();
-    smart_rt::pdes::host(workers, move || {
-        let spec = ServeSpec {
-            seed,
-            clients,
-            threads,
-            depth,
-            blades,
-            shards,
-            accounts,
-            theta,
-            probe_pct,
-            initial_balance,
-            plan,
-            admission,
-            membership,
-            chaos,
-            trace: None,
-            drain,
-            workers,
-        };
-        run_serve_inline(&spec)
-    })
-}
-
-pub(crate) fn run_serve_inline(spec: &ServeSpec) -> ServeReport {
     let mut sim = Simulation::new(spec.seed);
     if let Some(sink) = &spec.trace {
         sim.handle().install_tracer(sink.clone());
     }
     let cells = spec.accounts.div_ceil(spec.shards as u64) * 8;
     let region = (spec.shards as u64 * cells) + (1 << 20);
-    let cluster = Cluster::new_with_plan(
+    let cluster = Cluster::new(
         sim.handle(),
         ClusterConfig {
             compute_nodes: 1,
@@ -320,7 +255,6 @@ pub(crate) fn run_serve_inline(spec: &ServeSpec) -> ServeReport {
             },
             ..Default::default()
         },
-        smart_rnic::DomainPlan::for_workers(spec.workers, 1, spec.blades as u32),
     );
     let plan = spec.membership.fault_plan().merge(&spec.chaos);
     let injector = FaultInjector::install(&cluster, plan);

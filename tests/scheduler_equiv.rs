@@ -11,27 +11,19 @@
 //! `SMART_UPDATE_GOLDENS=1 cargo test -q --test scheduler_equiv`
 //! and review the golden diff like any other code change.
 //!
-//! The second half of this file is the sequential <-> parallel
-//! **differential matrix** gating the PDES hosting layer: every pinned
-//! bench shape (fig03 microbench, fig07 hash table, fig14 throttle
-//! stack, a serve phase and an 8-seed chaos sweep) runs at 1, 2 and 4
-//! simulation workers, and the `workers > 1` legs must reproduce the
-//! sequential report fingerprints and trace JSON byte-for-byte.
-//!
-//! The third section is the **decomposed-plan matrix** gating the blade
-//! engine domains: fig07 and fig_serve run under `per_blade` and
-//! `for_workers` partitions at 1/2/4/8 engine workers, and every leg —
-//! report bytes, blade-domain artifacts, epoch/envelope counters and
-//! trace JSON — must reproduce the 1-worker reference exactly. The
-//! reference fingerprints are published under `target/equiv/` for the
-//! CI `pdes` job to upload.
+//! The second half of this file is the **decomposed-plan matrix**
+//! gating the blade engine domains: fig07 and fig_serve run under
+//! `per_blade` and `for_workers` partitions, and an 8-seed chaos sweep
+//! under `per_blade`, each at 1/2/4/8 engine workers. Every leg — report
+//! bytes, blade-domain artifacts, epoch/envelope counters and trace JSON
+//! — must reproduce the 1-worker reference exactly. The reference
+//! fingerprints are published under `target/equiv/` for the CI `pdes`
+//! job to upload.
 
+use std::cell::Cell;
 use std::path::PathBuf;
 
-use smart_bench::{
-    run_ht, run_ht_decomposed, run_ht_hosted, run_microbench_hosted, run_serve_hosted, serve_spec,
-    HtParams, RunReport,
-};
+use smart_bench::{run_ht, run_ht_decomposed, serve_spec, HtParams, RunReport};
 use smart_lab::smart::{run_microbench, MicroOp, MicrobenchSpec, QpPolicy, SmartConfig};
 use smart_lab::smart_fault::FaultPlan;
 use smart_lab::smart_rnic::DomainPlan;
@@ -179,133 +171,16 @@ fn fault_plan_run_matches_heap_scheduler_golden() {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential <-> parallel differential matrix (PDES hosting layer)
-// ---------------------------------------------------------------------------
-
-/// Worker counts every matrix cell runs at. The sequential leg
-/// (`workers == 1`, always first) is the reference; the others must
-/// reproduce its bytes exactly.
-///
-/// A single-*core* host is deliberately **not** a skip: hosting is an
-/// OS-thread mechanism and byte identity must hold under any time-slicing
-/// the kernel picks, so running the matrix on one core tests exactly the
-/// claim we care about. The only skip is a host where thread parallelism
-/// cannot be probed at all (`available_parallelism` erroring), in which
-/// case spawning worker threads is itself suspect and only the
-/// sequential leg runs. `SMART_SIM_WORKERS` appends an extra column so a
-/// CI job (or a curious human) can widen the matrix without editing the
-/// test.
-fn worker_matrix() -> Vec<usize> {
-    if let Err(e) = std::thread::available_parallelism() {
-        eprintln!(
-            "scheduler_equiv: cannot probe host parallelism ({e}); \
-             running the sequential leg only"
-        );
-        return vec![1];
-    }
-    let mut matrix = vec![1, 2, 4];
-    let extra = smart_lab::smart_rt::pdes::env_workers(1);
-    if !matrix.contains(&extra) {
-        matrix.push(extra);
-    }
-    matrix
-}
-
-/// Runs one matrix cell at every worker count and asserts the
-/// `(report fingerprint, trace JSON)` pair is byte-identical to the
-/// sequential leg.
-fn assert_workers_equivalent<F>(label: &str, run: F)
-where
-    F: Fn(usize) -> (String, String),
-{
-    let matrix = worker_matrix();
-    let (ref_fp, ref_trace) = run(matrix[0]);
-    assert!(
-        !ref_fp.is_empty(),
-        "{label}: sequential leg produced an empty fingerprint"
-    );
-    for &workers in &matrix[1..] {
-        let (fp, trace) = run(workers);
-        assert_eq!(
-            fp, ref_fp,
-            "{label}: report bytes diverged between 1 and {workers} workers"
-        );
-        assert_eq!(
-            trace, ref_trace,
-            "{label}: trace JSON diverged between 1 and {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn matrix_fig03_microbench_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig03", |workers| {
-        let mut spec = MicrobenchSpec::new(
-            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 4),
-            4,
-            8,
-        );
-        spec.op = MicroOp::Read(8);
-        spec.warmup = Duration::from_micros(300);
-        spec.measure = Duration::from_millis(1);
-        spec.seed = 42;
-        spec.workers = workers;
-        let (report, metrics, trace) = run_microbench_hosted(&spec, true);
-        (format!("{report:?}\n{metrics:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_fig07_hash_table_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig07-small", |workers| {
-        let mut p = HtParams::new(SmartConfig::smart_full(8), 8, 5_000, Mix::WriteHeavy);
-        p.warmup = Duration::from_micros(500);
-        p.measure = Duration::from_millis(1);
-        p.seed = 42;
-        p.workers = workers;
-        let (report, trace) = run_ht_hosted(&p, true);
-        (format!("{report:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_fig14_throttle_stack_is_byte_identical_across_workers() {
-    assert_workers_equivalent("fig14-small", |workers| {
-        let mut cfg =
-            SmartConfig::baseline(QpPolicy::ThreadAwareDoorbell, 8).with_work_req_throttle(true);
-        cfg.conflict_backoff = true;
-        cfg.dynamic_backoff_limit = true;
-        cfg.coroutine_throttle = true;
-        let mut p = HtParams::new(cfg, 8, 5_000, Mix::UpdateOnly);
-        p.warmup = Duration::from_micros(500);
-        p.measure = Duration::from_millis(1);
-        p.seed = 42;
-        p.workers = workers;
-        let (report, trace) = run_ht_hosted(&p, true);
-        (format!("{report:?}\n"), trace.unwrap())
-    });
-}
-
-#[test]
-fn matrix_serve_phase_is_byte_identical_across_workers() {
-    assert_workers_equivalent("serve", |workers| {
-        let mut spec = serve_spec(800, 0.05, 42);
-        spec.threads = 2;
-        spec.depth = 4;
-        spec.workers = workers;
-        let (report, trace) = run_serve_hosted(&spec, true);
-        (format!("{}\n{report:?}\n", report.render()), trace.unwrap())
-    });
-}
-
-// ---------------------------------------------------------------------------
 // Decomposed-plan differential matrix (blades as real engine domains)
 // ---------------------------------------------------------------------------
 
-/// Engine worker counts every decomposed cell runs at. Unlike the hosted
-/// matrix — where `workers` picks the *partition* — a decomposed cell
+/// Engine worker counts every decomposed cell runs at. A decomposed cell
 /// fixes its [`DomainPlan`] up front, so every count here executes the
 /// identical partition and the bytes must not move at all.
+///
+/// A single-*core* host is deliberately **not** a skip: byte identity
+/// must hold under any time-slicing the kernel picks, so running the
+/// matrix on one core tests exactly the claim we care about.
 const ENGINE_WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Writes the reference fingerprint under `target/equiv/` so the CI
@@ -427,10 +302,13 @@ fn decomposed_envelope_accounting_matches_cross_domain_wrs() {
 #[test]
 fn matrix_fault_seed_sweep_is_byte_identical_across_workers() {
     // Eight seeded chaos plans (random packet loss / RNR / latency
-    // spikes / crash events), each replayed at every worker count. No
-    // trace here — eight full recovery-path runs per leg is the cost
-    // budget; the other cells already pin trace bytes.
-    assert_workers_equivalent("fault-sweep", |workers| {
+    // spikes / crash events) through the blade domains, each replayed at
+    // every engine worker count. No trace here — eight full
+    // recovery-path runs per leg is the cost budget; the other cells
+    // already pin trace bytes. With two blades, `per_blade` and
+    // `for_workers(4, ..)` are the same partition, so one plan suffices.
+    let injected = Cell::new(0u64);
+    assert_decomposed_equivalent("fault_sweep_decomposed_per_blade", |workers| {
         let mut fp = String::new();
         for seed in 0..8u64 {
             let plan = FaultPlan::random(seed, Duration::from_millis(1), 1, 2);
@@ -439,10 +317,27 @@ fn matrix_fault_seed_sweep_is_byte_identical_across_workers() {
             p.measure = Duration::from_millis(1);
             p.seed = 1907 + seed;
             p.fault = Some(plan);
-            p.workers = workers;
-            let (report, _) = run_ht_hosted(&p, false);
-            fp.push_str(&format!("seed={seed}\n{}", report_fingerprint(&report)));
+            let d = run_ht_decomposed(
+                &p,
+                &DomainPlan::per_blade(1, p.blades as u32),
+                workers,
+                false,
+            );
+            assert!(
+                d.report.conservation.is_empty(),
+                "seed {seed} at {workers} engine workers broke conservation: {:?}",
+                d.report.conservation
+            );
+            injected.set(injected.get() + d.report.faults_injected);
+            fp.push_str(&format!(
+                "seed={seed}\n{}blade_log:\n{}epochs={} envelopes={}\n",
+                report_fingerprint(&d.report),
+                d.blade_log,
+                d.epochs,
+                d.envelopes
+            ));
         }
-        (fp, String::new())
+        fp
     });
+    assert!(injected.get() > 0, "the sweep must actually inject faults");
 }
